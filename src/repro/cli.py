@@ -26,7 +26,8 @@ without writing any Python:
   over a compiled artifact: queries from a file or stdin, JSONL results
   on stdout, latency percentiles on stderr, ``--watch`` hot-swaps when
   the artifact file is re-published; SIGINT/SIGTERM end the stream
-  cleanly with the summary flushed;
+  cleanly with the summary flushed; a missing or corrupt artifact is one
+  ``error:`` line and exit code 1, as it is for ``server``;
 * ``server``      — run the long-lived HTTP/JSON match daemon
   (:mod:`repro.server`) over a compiled artifact: ``/match``,
   ``/resolve``, ``/healthz``, ``/stats`` (with per-endpoint latency
@@ -55,11 +56,10 @@ import argparse
 import contextlib
 import json
 import math
-import signal
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
@@ -69,10 +69,18 @@ from repro.core.pipeline import SynonymMiner
 from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
 from repro.matching.index import DictionaryIndex
 from repro.matching.matcher import EntityMatch, QueryMatcher
-from repro.server.daemon import DEFAULT_PORT, MatchDaemon, match_payload
+from repro.server.daemon import (
+    DEFAULT_PORT,
+    MatchDaemon,
+    ShutdownSignal,
+    match_payload,
+    shutdown_signals,
+)
+from repro.server.metrics import AccessLog
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.service import MatchService
 from repro.simulation.scenario import ScenarioConfig, build_world
+from repro.storage.artifact import ArtifactError
 from repro.storage.jsonl import read_jsonl, write_jsonl
 from repro.storage.sqlite_store import LogDatabase
 
@@ -552,50 +560,27 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
-class _GracefulExit(Exception):
-    """Raised by the SIGINT/SIGTERM handlers installed for streaming serve."""
-
-
-@contextlib.contextmanager
-def _graceful_signals():
-    """Map SIGINT/SIGTERM to :class:`_GracefulExit` inside the block.
-
-    Streaming `serve` and the daemon both promise a clean shutdown (final
-    stats flushed, exit code 0) instead of a KeyboardInterrupt traceback
-    when the operator hits Ctrl-C or systemd sends SIGTERM.
-    """
-
-    def _raise(signum, _frame):
-        raise _GracefulExit(signal.Signals(signum).name)
-
-    previous = {}
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, _raise)
-    except ValueError:
-        # Not the main thread (e.g. tests driving main() from a worker):
-        # signals cannot be installed there; run unprotected.
-        pass
-    try:
-        yield
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
+# What a bad artifact path, a corrupt artifact or a busy port raise at
+# startup: `serve` and `server` report them as one error line, exit 1.
+_STARTUP_ERRORS = (OSError, ArtifactError)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.cache_size < 0:
         raise SystemExit("repro serve: error: --cache-size must be >= 0")
-    service = MatchService(
-        args.artifact,
-        cache_size=args.cache_size,
-        enable_fuzzy=not args.no_fuzzy,
-        mmap=args.mmap,
-    )
+    try:
+        service = MatchService(
+            args.artifact,
+            cache_size=args.cache_size,
+            enable_fuzzy=not args.no_fuzzy,
+            mmap=args.mmap,
+        )
+    except _STARTUP_ERRORS as exc:
+        raise SystemExit(f"repro serve: error: {exc}") from exc
     latencies: list[float] = []
     interrupted = ""
     try:
-        with _graceful_signals():
+        with shutdown_signals():
             for query in _iter_query_lines(args.queries):
                 if args.watch:
                     service.maybe_reload()
@@ -603,7 +588,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 match = service.match(query)
                 latencies.append(time.perf_counter() - started)
                 print(json.dumps(_match_payload(query, match), ensure_ascii=False), flush=True)
-    except (_GracefulExit, KeyboardInterrupt) as exc:
+    except (ShutdownSignal, KeyboardInterrupt) as exc:
         interrupted = str(exc) or "SIGINT"
 
     stats = service.stats
@@ -649,6 +634,17 @@ def _cmd_server(args: argparse.Namespace) -> int:
     )
     if args.mmap:
         watch_note = f"mmap, {watch_note}"
+    # One option list for both front ends: the single daemon takes it as
+    # is, the supervisor hands it unchanged to every worker's daemon.
+    options: dict[str, Any] = {
+        "host": args.host,
+        "port": args.port,
+        "cache_size": args.cache_size,
+        "enable_fuzzy": not args.no_fuzzy,
+        "watch_interval": args.watch_interval,
+        "max_batch": args.max_batch,
+        "mmap": args.mmap,
+    }
 
     if args.procs > 1:
         from repro.server.supervisor import ServerSupervisor
@@ -657,21 +653,16 @@ def _cmd_server(args: argparse.Namespace) -> int:
             supervisor = ServerSupervisor(
                 args.artifact,
                 procs=args.procs,
-                host=args.host,
-                port=args.port,
-                cache_size=args.cache_size,
-                enable_fuzzy=not args.no_fuzzy,
-                watch_interval=args.watch_interval,
-                max_batch=args.max_batch,
                 access_log_path=args.access_log,
                 access_log_sample=access_log_sample,
-                mmap=args.mmap,
+                **options,
             )
             # Every worker is listening before the address line goes out —
             # the same bind-before-banner promise the single-process path
             # makes, so a wrapper may connect the moment it reads it.
             supervisor.start()
-        except RuntimeError as exc:  # no SO_REUSEPORT, or startup failure
+        except (RuntimeError, *_STARTUP_ERRORS) as exc:
+            # RuntimeError: no SO_REUSEPORT, or a worker died at startup.
             raise SystemExit(f"repro server: error: {exc}") from exc
         # Same machine-readable address line as the single-process path:
         # with --port 0 it is how a wrapper learns the bound port.
@@ -682,22 +673,15 @@ def _cmd_server(args: argparse.Namespace) -> int:
         )
         return supervisor.run_forever()
 
-    access_log = None
-    if access_log_sample > 0:
-        from repro.server.metrics import AccessLog
-
-        access_log = AccessLog(access_log_sample, path=args.access_log)
-    daemon = MatchDaemon(
-        args.artifact,
-        host=args.host,
-        port=args.port,
-        cache_size=args.cache_size,
-        enable_fuzzy=not args.no_fuzzy,
-        watch_interval=args.watch_interval,
-        max_batch=args.max_batch,
-        access_log=access_log,
-        mmap=args.mmap,
-    )
+    try:
+        access_log = (
+            AccessLog(access_log_sample, path=args.access_log)
+            if access_log_sample > 0
+            else None
+        )
+        daemon = MatchDaemon(args.artifact, access_log=access_log, **options)
+    except _STARTUP_ERRORS as exc:
+        raise SystemExit(f"repro server: error: {exc}") from exc
     # The address line is machine-readable on purpose: with --port 0 it is
     # the only way a wrapper (tests, CI) learns the bound port.
     print(

@@ -142,7 +142,9 @@ class QueryMatcher:
         Candidates are shortlisted through the token index (strings sharing
         at least one query token), then ranked by edit-distance similarity;
         token containment filters out candidates that share a token but are
-        otherwise unrelated.
+        otherwise unrelated.  Ties in similarity go to the lexicographically
+        smallest candidate, so the answer never depends on set order (and
+        with it on the hash seed).
         """
         query_tokens = tokenize(normalized_query, normalized=True)
         shortlist: set[str] = set()
@@ -157,6 +159,10 @@ class QueryMatcher:
             similarity = levenshtein_similarity(normalized_query, candidate)
             if similarity < self.fuzzy_similarity_threshold:
                 continue
-            if best is None or similarity > best[1]:
+            if (
+                best is None
+                or similarity > best[1]
+                or (similarity == best[1] and candidate < best[0])
+            ):
                 best = (candidate, similarity)
         return best

@@ -16,8 +16,9 @@ Architecture — three kinds of thread share one
   ``deltas_skipped`` in ``/stats``;
 * **the serve thread** — ``serve_forever`` runs either in the caller's
   thread (:meth:`MatchDaemon.run_forever`, the CLI path, with
-  SIGINT/SIGTERM mapped to a clean shutdown) or in a background thread
-  (:meth:`MatchDaemon.start`, the test/benchmark path).
+  SIGINT/SIGTERM mapped to a clean shutdown by :func:`shutdown_signals`,
+  the one signal path ``repro serve`` and the supervisor share) or in a
+  background thread (:meth:`MatchDaemon.start`, the test/benchmark path).
 
 Observability rides on the same dispatch path: every request is timed into
 a per-endpoint log-spaced latency histogram (``/stats`` ``"latency"``:
@@ -50,6 +51,7 @@ Scale-out: ``reuse_port=True`` binds the listening socket with
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -59,7 +61,8 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from types import FrameType
+from typing import Any, Callable, Iterator, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from repro.matching.matcher import EntityMatch
@@ -71,9 +74,11 @@ from repro.serving.service import MatchService
 __all__ = [
     "DEFAULT_PORT",
     "MatchDaemon",
+    "ShutdownSignal",
     "match_payload",
     "ranked_payload",
     "reuse_port_supported",
+    "shutdown_signals",
 ]
 
 DEFAULT_PORT = 8765
@@ -198,12 +203,49 @@ class _Watcher(threading.Thread):
         self._stop_event.set()
 
 
-class _SignalShutdown(Exception):
-    """Raised inside ``serve_forever`` by the SIGINT/SIGTERM handlers."""
+class ShutdownSignal(BaseException):
+    """SIGINT/SIGTERM, raised by :func:`shutdown_signals`'s default handler.
+
+    A :class:`BaseException`, like :class:`KeyboardInterrupt`: the signal
+    may land inside code that catches :class:`Exception` — socketserver's
+    per-request error handler among it — which must not swallow it.
+    """
 
     def __init__(self, signum: int) -> None:
         super().__init__(signal.Signals(signum).name)
         self.signum = signum
+
+
+@contextlib.contextmanager
+def shutdown_signals(
+    on_signal: Callable[[int], None] | None = None,
+) -> Iterator[None]:
+    """Route SIGINT/SIGTERM to *on_signal* inside the block.
+
+    The one shutdown-signal path of ``repro serve``, the daemon and the
+    supervisor, so each exits cleanly (stats flushed, exit code 0) on
+    Ctrl-C or SIGTERM.  Without *on_signal* a signal raises
+    :class:`ShutdownSignal`.  Off the main thread handlers cannot be
+    installed and the block runs without them.  The previous handlers are
+    restored on exit.
+    """
+
+    def handler(signum: int, _frame: FrameType | None) -> None:
+        if on_signal is None:
+            raise ShutdownSignal(signum)
+        on_signal(signum)
+
+    previous: dict[signal.Signals, Any] = {}
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(signum, handler)
+    except ValueError:
+        pass
+    try:
+        yield
+    finally:
+        for signum, old in previous.items():
+            signal.signal(signum, old)
 
 
 class MatchDaemon:
@@ -227,7 +269,7 @@ class MatchDaemon:
         Admission bound on the request body size; larger bodies are
         rejected with HTTP 413 *before* being read, so an oversized POST
         cannot make a request thread buffer and parse it.
-    cache_size / enable_fuzzy / verify:
+    cache_size / enable_fuzzy:
         Forwarded to :class:`MatchService`.
     access_log:
         A configured :class:`~repro.server.metrics.AccessLog`, or None
@@ -254,7 +296,6 @@ class MatchDaemon:
         port: int = DEFAULT_PORT,
         cache_size: int = 4096,
         enable_fuzzy: bool = True,
-        verify: bool = True,
         watch_interval: float = 2.0,
         max_batch: int = 1024,
         max_body_bytes: int = 8 * 1024 * 1024,
@@ -278,7 +319,6 @@ class MatchDaemon:
             artifact,
             cache_size=cache_size,
             enable_fuzzy=enable_fuzzy,
-            verify=verify,
             mmap=mmap,
         )
         self.watch_interval = watch_interval
@@ -364,45 +404,24 @@ class MatchDaemon:
         # still holding views just defers the unmap to refcounting).
         self.service.close()
 
-    def run_forever(self, *, handle_signals: bool = True) -> int:
+    def run_forever(self) -> int:
         """Serve in the calling thread until SIGINT/SIGTERM (the CLI path).
 
         Both signals break ``serve_forever`` by raising inside the main
-        thread, after which the socket is closed, the watcher stopped and a
-        final stats line flushed to stderr — a clean exit code 0 instead of
-        a traceback.
+        thread, after which :meth:`stop` tears down and a final stats line
+        goes to stderr — a clean exit code 0 instead of a traceback.
         """
-
-        def _raise_shutdown(signum: int, _frame: Any) -> None:
-            raise _SignalShutdown(signum)
-
-        previous: dict[int, Any] = {}
-        if handle_signals:
-            try:
-                for signum in (signal.SIGINT, signal.SIGTERM):
-                    previous[signum] = signal.signal(signum, _raise_shutdown)
-            except ValueError:
-                # Not the main thread (an embedder driving the CLI from a
-                # worker): handlers cannot be installed there; serve
-                # anyway and rely on the embedder to shut us down.
-                pass
-        self._start_watcher()
         reason = "shutdown"
         try:
-            self._httpd.serve_forever()
-        except (_SignalShutdown, KeyboardInterrupt) as exc:
-            reason = str(exc) if isinstance(exc, _SignalShutdown) else "SIGINT"
+            with shutdown_signals():
+                self._start_watcher()
+                self._httpd.serve_forever()
+        except (ShutdownSignal, KeyboardInterrupt) as exc:
+            reason = str(exc) or "SIGINT"
         finally:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-            if self._watcher is not None:
-                self._watcher.stop()
-                self._watcher = None
-            self._httpd.server_close()
-            print(self._shutdown_line(reason), file=sys.stderr, flush=True)
-            if self.access_log is not None:
-                self.access_log.close()
-            self.service.close()
+            line = self._shutdown_line(reason)
+            self.stop()
+            print(line, file=sys.stderr, flush=True)
         return 0
 
     def _shutdown_line(self, reason: str) -> str:

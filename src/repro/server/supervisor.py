@@ -42,6 +42,7 @@ processes.
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 import os
 import signal
@@ -51,14 +52,23 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.server.daemon import DEFAULT_PORT, MatchDaemon, reuse_port_supported
+from repro.server.daemon import (
+    DEFAULT_PORT,
+    MatchDaemon,
+    reuse_port_supported,
+    shutdown_signals,
+)
 from repro.server.metrics import AccessLog
 
 __all__ = ["ServerSupervisor"]
 
 
 def _worker_main(
-    worker_id: int, host: str, port: int, config: dict[str, Any], ready: Any
+    worker_id: int,
+    artifact: str | Path,
+    options: dict[str, Any],
+    access_log: tuple[float, str | Path | None],
+    ready: Any,
 ) -> None:
     """Entry point of one worker process (module-level: spawn pickles it).
 
@@ -67,27 +77,13 @@ def _worker_main(
     returns — then serves until SIGTERM; ``run_forever`` installs the
     usual clean-shutdown handlers in the child's main thread.
     """
-    access_log = None
-    if config["access_log_sample"] > 0:
-        access_log = AccessLog(
-            config["access_log_sample"],
-            path=config["access_log_path"],
-            worker=worker_id,
-        )
+    sample, path = access_log
     daemon = MatchDaemon(
-        config["artifact"],
-        host=host,
-        port=port,
-        cache_size=config["cache_size"],
-        enable_fuzzy=config["enable_fuzzy"],
-        verify=config["verify"],
-        watch_interval=config["watch_interval"],
-        max_batch=config["max_batch"],
-        max_body_bytes=config["max_body_bytes"],
-        access_log=access_log,
+        artifact,
+        access_log=AccessLog(sample, path=path, worker=worker_id) if sample > 0 else None,
         worker_id=worker_id,
         reuse_port=True,
-        mmap=config["mmap"],
+        **options,
     )
     ready.set()
     sys.exit(daemon.run_forever())
@@ -96,11 +92,16 @@ def _worker_main(
 class ServerSupervisor:
     """Parent process of a ``--procs N`` daemon group.
 
-    Parameters mirror :class:`MatchDaemon` (each worker gets its own
-    service, watcher and metrics); ``access_log_path``/``access_log_sample``
-    configure per-worker access logs appending to one shared file.
-    ``host``/``port`` are resolved at construction (``port=0`` picks a free
-    port), so the address can be printed before :meth:`run_forever`.
+    Every keyword in *options* goes unchanged to each worker's
+    :class:`MatchDaemon` (each worker gets its own service, watcher and
+    metrics); they are bound against its signature here, so a misspelled
+    option is a :class:`TypeError` before any worker spawns.  With
+    ``mmap=True`` every worker maps the same published file: one set of
+    physical pages serves the whole group.  ``access_log_path`` /
+    ``access_log_sample`` configure per-worker access logs appending to one
+    shared file.  ``host``/``port`` are resolved at construction
+    (``port=0`` picks a free port), so the address can be printed before
+    :meth:`run_forever`.
     """
 
     def __init__(
@@ -110,16 +111,10 @@ class ServerSupervisor:
         procs: int,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        cache_size: int = 4096,
-        enable_fuzzy: bool = True,
-        verify: bool = True,
-        watch_interval: float = 2.0,
-        max_batch: int = 1024,
-        max_body_bytes: int = 8 * 1024 * 1024,
         access_log_path: str | Path | None = None,
         access_log_sample: float = 0.0,
         shutdown_timeout: float = 10.0,
-        mmap: bool = False,
+        **options: Any,
     ) -> None:
         if procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
@@ -132,25 +127,14 @@ class ServerSupervisor:
                 "cannot run a multi-process server: SO_REUSEPORT is not "
                 "supported on this platform; run a single process (no --procs)"
             )
+        inspect.signature(MatchDaemon).bind(
+            artifact, host=host, port=port, access_log=None, worker_id=0,
+            reuse_port=True, **options,
+        )
         self.procs = procs
         self.shutdown_timeout = shutdown_timeout
-        self._config: dict[str, Any] = {
-            "artifact": str(artifact),
-            "cache_size": cache_size,
-            "enable_fuzzy": enable_fuzzy,
-            "verify": verify,
-            "watch_interval": watch_interval,
-            "max_batch": max_batch,
-            "max_body_bytes": max_body_bytes,
-            "access_log_path": (
-                str(access_log_path) if access_log_path is not None else None
-            ),
-            "access_log_sample": access_log_sample,
-            # With mmap=True every worker maps the same published file:
-            # one set of physical pages serves the whole group, so adding
-            # workers does not add copies of the catalog.
-            "mmap": mmap,
-        }
+        self._artifact = artifact
+        self._access_log = (access_log_sample, access_log_path)
         # Reserve the address: bound (never listening) with SO_REUSEPORT,
         # this socket pins port=0 to one concrete port for the lifetime of
         # the group, and guarantees every worker can join it.
@@ -158,6 +142,7 @@ class ServerSupervisor:
         self._anchor.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         self._anchor.bind((host, port))
         self.host, self.port = self._anchor.getsockname()[:2]
+        self._options = dict(options, host=self.host, port=self.port)
         # spawn, not fork: workers re-import and build their own state, so
         # they cannot inherit half-initialized parent threads or sockets,
         # and behavior matches across platforms.
@@ -175,9 +160,12 @@ class ServerSupervisor:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    def stop(self) -> None:
-        """Request a clean shutdown (thread-safe; what SIGTERM does)."""
-        self._shutdown_signum = signal.SIGTERM
+    def stop(self, signum: int = signal.SIGTERM) -> None:
+        """Request a clean shutdown (thread-safe; what SIGINT/SIGTERM do).
+
+        Every worker gets SIGTERM; *signum* is only the reason reported.
+        """
+        self._shutdown_signum = signum
         self._signal_workers(signal.SIGTERM)
 
     def shutdown(self) -> None:
@@ -219,7 +207,7 @@ class ServerSupervisor:
         self._workers = [
             self._context.Process(
                 target=_worker_main,
-                args=(worker_id, self.host, self.port, self._config, ready),
+                args=(worker_id, self._artifact, self._options, self._access_log, ready),
                 name=f"repro-server-worker-{worker_id}",
                 daemon=True,  # safety net: die with an abnormally-exiting parent
             )
@@ -243,7 +231,7 @@ class ServerSupervisor:
             time.sleep(0.05)
         return self
 
-    def run_forever(self, *, handle_signals: bool = True) -> int:
+    def run_forever(self) -> int:
         """Supervise until shutdown; returns the group's exit code.
 
         Calls :meth:`start` first unless it already ran.  SIGINT/SIGTERM
@@ -255,42 +243,29 @@ class ServerSupervisor:
         """
         if not self._workers:
             self.start()
-
-        def _propagate(signum: int, _frame: Any) -> None:
-            self._shutdown_signum = signum
-            self._signal_workers(signal.SIGTERM)
-
-        previous: dict[int, Any] = {}
-        if handle_signals:
-            try:
-                for signum in (signal.SIGINT, signal.SIGTERM):
-                    previous[signum] = signal.signal(signum, _propagate)
-            except ValueError:  # pragma: no cover - not the main thread
-                pass
-
         exit_code = 0
         reason = "shutdown"
+        # The handlers stay installed while the workers are reaped: a second
+        # signal re-forwards SIGTERM instead of killing the parent mid-reap.
         try:
-            while self._shutdown_signum is None:
-                dead = next(
-                    (w for w in self._workers if not w.is_alive()), None
-                )
-                if dead is not None:
-                    exit_code = dead.exitcode if dead.exitcode else 1
-                    reason = (
-                        f"worker {dead.name} exited unexpectedly "
-                        f"(code {dead.exitcode})"
+            with shutdown_signals(self.stop):
+                while self._shutdown_signum is None:
+                    dead = next(
+                        (w for w in self._workers if not w.is_alive()), None
                     )
-                    self._shutdown_signum = signal.SIGTERM
-                    self._signal_workers(signal.SIGTERM)
-                    break
-                time.sleep(0.05)
-            else:
-                reason = signal.Signals(self._shutdown_signum).name
-            self._reap_workers()
+                    if dead is not None:
+                        exit_code = dead.exitcode if dead.exitcode else 1
+                        reason = (
+                            f"worker {dead.name} exited unexpectedly "
+                            f"(code {dead.exitcode})"
+                        )
+                        self.stop()
+                        break
+                    time.sleep(0.05)
+                else:
+                    reason = signal.Signals(self._shutdown_signum).name
+                self._reap_workers()
         finally:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
             self._anchor.close()
             print(
                 f"repro server supervisor: {reason}; "

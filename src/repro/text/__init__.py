@@ -1,4 +1,4 @@
-"""Text substrate: normalization, tokenization, stemming and string similarity.
+"""Text substrate: normalization, tokenization and string similarity.
 
 Every other subsystem (the search engine, the click-log simulator, the
 synonym miner and the online matcher) funnels raw strings through this
@@ -9,7 +9,6 @@ same normalized form everywhere.
 from repro.text.normalize import normalize, strip_accents, normalize_whitespace
 from repro.text.tokenize import tokenize, ngrams, char_ngrams, token_set
 from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
-from repro.text.stem import PorterStemmer, stem, stem_tokens
 from repro.text.similarity import (
     levenshtein_distance,
     damerau_levenshtein_distance,
@@ -34,9 +33,6 @@ __all__ = [
     "STOPWORDS",
     "is_stopword",
     "remove_stopwords",
-    "PorterStemmer",
-    "stem",
-    "stem_tokens",
     "levenshtein_distance",
     "damerau_levenshtein_distance",
     "levenshtein_similarity",

@@ -1,5 +1,9 @@
 """Tests for the online query matcher."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
@@ -104,6 +108,33 @@ class TestFuzzyMatching:
             fuzzy_containment_threshold=1.0,
         )
         assert permissive.match("madagascar x").outcome is MatchOutcome.NO_MATCH
+
+    def test_equal_similarity_tie_is_independent_of_hash_seed(self):
+        """Equally similar candidates resolve to the smallest string.
+
+        The shortlist is a set, so the winner of a similarity tie used to
+        follow the hash seed; only a fresh interpreter per seed shows it.
+        """
+        from tests.conftest import SRC_DIR
+
+        script = (
+            "from repro.matching.dictionary import DictionaryEntry, SynonymDictionary\n"
+            "from repro.matching.matcher import QueryMatcher\n"
+            "texts = ['the star wars', 'the star war', 'the stars war', 'the star wat']\n"
+            "dictionary = SynonymDictionary(\n"
+            "    DictionaryEntry(text, f'e{index}') for index, text in enumerate(texts)\n"
+            ")\n"
+            "print(QueryMatcher(dictionary).match('the star warz').matched_text)\n"
+        )
+        answers = set()
+        for seed in range(1, 9):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC_DIR)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=60,
+            )
+            answers.add(completed.stdout.strip())
+        assert answers == {"the star war"}
 
 
 class TestBatchAndCoverage:

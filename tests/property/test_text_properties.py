@@ -14,7 +14,6 @@ from repro.text.similarity import (
     levenshtein_distance,
     levenshtein_similarity,
 )
-from repro.text.stem import stem
 from repro.text.tokenize import tokenize
 
 # Strategies: printable text with a bias toward short query-like strings.
@@ -102,13 +101,3 @@ class TestJaccardProperties:
     @given(token_list_strategy)
     def test_self_similarity(self, a):
         assert jaccard_similarity(a, a) == 1.0
-
-
-class TestStemmerProperties:
-    @given(word_strategy)
-    def test_stem_never_longer_than_word(self, word):
-        assert len(stem(word)) <= len(word)
-
-    @given(word_strategy)
-    def test_stem_is_deterministic(self, word):
-        assert stem(word) == stem(word)

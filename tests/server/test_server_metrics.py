@@ -246,6 +246,10 @@ class TestMultiProcessFrontEnd:
         with pytest.raises(ValueError):
             ServerSupervisor(artifact_path, procs=0, port=0)
 
+    def test_misspelled_daemon_option_fails_before_spawning(self, artifact_path):
+        with pytest.raises(TypeError, match="watch_intervl"):
+            ServerSupervisor(artifact_path, procs=2, port=0, watch_intervl=0)
+
     def test_two_workers_share_one_port_and_spread_traffic(self, artifact_path, monkeypatch):
         """In-process --procs 2: one port, both workers answer, clean stop."""
         monkeypatch.setenv("PYTHONPATH", SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -259,7 +263,7 @@ class TestMultiProcessFrontEnd:
             supervisor.start()  # double-start is refused
         codes: list[int] = []
         thread = threading.Thread(
-            target=lambda: codes.append(supervisor.run_forever(handle_signals=False))
+            target=lambda: codes.append(supervisor.run_forever())
         )
         thread.start()
         seen: set[int] = set()

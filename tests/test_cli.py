@@ -412,3 +412,50 @@ class TestCompileAndServeCLI:
             main(["server", "--artifact", str(compiled), "--cache-size", "-1"])
         with pytest.raises(SystemExit, match="watch-interval"):
             main(["server", "--artifact", str(compiled), "--watch-interval", "-2"])
+
+    def test_missing_artifact_is_one_error_line(self, workdir):
+        """A bad path at startup: exit 1 with one error line, no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        from tests.conftest import SRC_DIR
+
+        missing = str(workdir / "does-not-exist.synart")
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        for command in (["serve", "--queries", os.devnull], ["server", "--port", "0"]):
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", *command, "--artifact", missing],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert completed.returncode == 1, completed
+            lines = completed.stderr.splitlines()
+            assert len(lines) == 1, completed.stderr
+            assert lines[0].startswith(f"repro {command[0]}: error: "), lines
+            assert missing in lines[0]
+
+    def test_corrupt_artifact_is_an_error_line(self, workdir):
+        corrupt = workdir / "corrupt.synart"
+        corrupt.write_bytes(b"not an artifact at all")
+        with pytest.raises(SystemExit, match="^repro serve: error: "):
+            main(["serve", "--artifact", str(corrupt)])
+        with pytest.raises(SystemExit, match="^repro server: error: "):
+            main(["server", "--artifact", str(corrupt), "--port", "0"])
+
+    @pytest.mark.parametrize("procs", ["1", "2"])
+    def test_port_in_use_is_an_error_line(self, compiled, procs):
+        import socket
+
+        from repro.server.daemon import reuse_port_supported
+
+        if procs != "1" and not reuse_port_supported():
+            pytest.skip("--procs needs SO_REUSEPORT")
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = str(busy.getsockname()[1])
+            with pytest.raises(SystemExit, match="^repro server: error: .*in use"):
+                main(
+                    ["server", "--artifact", str(compiled), "--port", port,
+                     "--watch-interval", "0", "--procs", procs]
+                )
